@@ -153,14 +153,6 @@ double run_pipeline_hops(ss::runtime::SchedulerKind scheduler, MailboxKind mailb
   ss::runtime::Engine engine(t, ss::runtime::Deployment{},
                              ss::runtime::synthetic_factory(0.0, items), config);
   const auto stats = engine.run_until_complete(std::chrono::duration<double>(60.0));
-  if (std::getenv("AB_DEBUG") != nullptr) {
-    const auto c = engine.scheduler_counters();
-    std::printf("  [dbg] pushes=%llu pops=%llu steals=%llu parks=%llu wakes=%llu batches=%llu bmsgs=%llu maxb=%llu ringe=%llu spills=%llu\n",
-      (unsigned long long)c.pushes,(unsigned long long)c.local_pops,(unsigned long long)c.steals,
-      (unsigned long long)c.parks,(unsigned long long)c.wakeups,(unsigned long long)c.batches,
-      (unsigned long long)c.batch_messages,(unsigned long long)c.max_batch,
-      (unsigned long long)c.ring_enqueues,(unsigned long long)c.ring_spills);
-  }
   return stats.total_seconds;
 }
 

@@ -69,7 +69,7 @@ inline void run_timed(TelemetryBoard& telemetry, OpIndex op, F&& body) {
 /// slice is open on this thread, process_message() skips its per-message
 /// busy metering and the whole drained batch is timed once — two clock
 /// reads per batch instead of two per message.  Thread-local because a
-/// pooled worker drains exactly one actor at a time.
+/// thread steps exactly one actor at a time.
 struct BatchMeterSlice {
   std::optional<ScopedActorContext> ctx;  ///< pins blocked-charging to the op
   OpIndex op = kInvalidOp;
@@ -84,8 +84,8 @@ thread_local BatchMeterSlice tls_batch_slice;
 
 }  // namespace
 
-/// Per-thread output stage: while an actor slice runs (pooled drain,
-/// source pump, or a dedicated-thread burst), consecutive data results
+/// Per-thread output stage: while an actor step runs (a drain or a source
+/// quantum, under either scheduler), consecutive data results
 /// bound for the same destination coalesce into one cache-line-aligned
 /// MessageBatch and reach the target mailbox as a unit
 /// (Mailbox::try_send_batch) instead of one try_send per message.
@@ -144,8 +144,9 @@ struct Engine::ActorState {
   std::int64_t expected_seq = 0;           // collector: next seq to release
   std::map<std::int64_t, std::vector<Message>> held;  // collector: buffered results
   std::set<std::int64_t> completed;        // collector: seq marks received
-  // --- epoch fence (reconfigure)
-  int fence_seen = 0;     ///< fence tokens received this barrier (actor thread only)
+  // --- channel barriers (stepping thread only; reset for each new scheduler)
+  int shutdowns_seen = 0;  ///< end-of-stream tokens received
+  int fence_seen = 0;      ///< fence tokens received this barrier
   bool fence_counted = false;  ///< counted toward fence_passed_ (fence_mutex_)
   bool finished = false;       ///< ran the shutdown epilogue (fence_mutex_)
   /// Quiesced at a fence: the scheduler completes the actor WITHOUT the
@@ -375,6 +376,7 @@ std::unique_ptr<Engine::EpochState> Engine::build_epoch(Deployment deployment,
       if (spec.kind == ActorKind::kReplica) state->collector_actor = spec.downstream.front();
       state->mailbox.set_on_ready(nullptr);  // the new scheduler re-hooks
       state->mailbox.set_owner_op(spec.op);  // blocked-edge attribution
+      state->shutdowns_seen = 0;
       state->fence_seen = 0;
       state->fence_counted = false;
       state->finished = false;
@@ -473,15 +475,7 @@ bool Engine::is_source(std::size_t id) const {
   return actor(id).spec.kind == ActorKind::kSource;
 }
 
-int Engine::incoming_channels(std::size_t id) const {
-  return actor(id).spec.incoming_channels;
-}
-
 Mailbox& Engine::mailbox(std::size_t id) { return actor(id).mailbox; }
-
-bool Engine::actor_retired(std::size_t id) const {
-  return actor(id).retired.load(std::memory_order_acquire);
-}
 
 bool Engine::send_to_actor(int actor_id, const Message& m) {
   const auto timeout =
@@ -491,7 +485,7 @@ bool Engine::send_to_actor(int actor_id, const Message& m) {
 
 // ------------------------------------------------------------ output staging
 
-void Engine::begin_output_batch(std::size_t /*id*/) {
+void Engine::begin_output_batch() {
   // Staging exists to feed the ring's batched slot reservation; under
   // --mailbox=mutex the engine runs the original per-message delivery so
   // the A/B in bench/micro_runtime compares the whole hot path against the
@@ -504,7 +498,7 @@ void Engine::begin_output_batch(std::size_t /*id*/) {
   stage.batch.clear();
 }
 
-void Engine::flush_output_batch(std::size_t /*id*/) {
+void Engine::flush_output_batch() {
   flush_stage();
   OutputStage& stage = tls_output_stage;
   stage.armed = false;
@@ -623,8 +617,8 @@ void Engine::run_meta(std::size_t id, OpIndex member, const Tuple& tuple, OpInde
 
 void Engine::finish_actor(std::size_t id) {
   // The epilogue below and the shutdown tokens at the end must not overtake
-  // data this thread still has staged (pooled slots flush via their guard
-  // before complete(); this covers the dedicated-thread loops).
+  // data this thread still has staged (the step flushes its stage before
+  // the epilogue; this keeps the guarantee local).
   flush_stage();
   ActorState& st = actor(id);
   switch (st.spec.kind) {
@@ -887,7 +881,7 @@ void Engine::process_message(std::size_t id, Message& msg) {
   }
 }
 
-// Batch-granularity metering (pooled scheduler).  A drained batch is timed
+// Batch-granularity metering (one slice per step).  A drained batch is timed
 // as ONE busy slice charged to the actor's operator: two clock reads per
 // batch instead of two per message, which is what keeps armed-window
 // metering overhead flat on sub-microsecond operators.  The slice covers
@@ -912,7 +906,7 @@ bool Engine::begin_batch_meter(std::size_t id) {
   return true;
 }
 
-void Engine::end_batch_meter(std::size_t /*id*/) {
+void Engine::end_batch_meter() {
   BatchMeterSlice& slice = tls_batch_slice;
   const auto elapsed = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(metering_now() - slice.from)
@@ -930,154 +924,128 @@ void Engine::end_batch_meter(std::size_t /*id*/) {
   slice.ctx.reset();
 }
 
-void Engine::actor_loop(std::size_t id) {
-  // Messages are consumed in bounded bursts: one blocking receive, then
-  // non-blocking try_receive drains whatever arrived meanwhile.  FIFO order
-  // and semantics are identical to a plain receive loop; the burst exists
-  // so armed-window metering can time it as ONE busy slice (two clock
-  // reads per burst, as on the pooled drain path) — the blocking receive
-  // stays outside the slice, so idle wait never counts as busy.
-  static constexpr int kLoopBurst = 64;
+// ------------------------------------------------------------ the actor step
+
+namespace {
+
+/// Items a source emits per step.  Fixed (not the pool's --batch): a
+/// quantum is also the source's metering slice, and the stop/fence flags
+/// are re-checked per item, so it never delays a fence.
+constexpr int kSourceQuantum = 64;
+
+/// Runs `f` when the scope exits, on normal exit and unwinding alike.
+template <typename F>
+class OnExit {
+ public:
+  explicit OnExit(F f) : f_(std::move(f)) {}
+  ~OnExit() { f_(); }
+  OnExit(const OnExit&) = delete;
+  OnExit& operator=(const OnExit&) = delete;
+
+ private:
+  F f_;
+};
+
+}  // namespace
+
+StepResult Engine::step(std::size_t id, std::size_t max_messages) {
+  return is_source(id) ? source_step(id) : drain_step(id, max_messages);
+}
+
+StepResult Engine::source_step(std::size_t id) {
+  trace::Span span("pump", "actor");
+  span.set_arg("actor", static_cast<std::int64_t>(id));
+  bool more = false;
+  try {
+    begin_output_batch();
+    OnExit flush([this] { flush_output_batch(); });
+    more = pump_source(id);
+  } catch (const std::exception& e) {
+    report_failure(id, e.what());
+    return {StepStatus::kFinished, 0};
+  }
+  // Retired at a fence: no finish epilogue — logic state and mailbox
+  // carry into the next epoch.
+  if (actor(id).retired.load(std::memory_order_relaxed)) return {StepStatus::kRetired, 0};
+  return more ? StepResult{StepStatus::kRunAgain, 0} : finish(id, 0);
+}
+
+StepResult Engine::drain_step(std::size_t id, std::size_t max_messages) {
   ActorState& st = actor(id);
-  int shutdowns = 0;
-  Message msg;
-  bool running = true;
-  while (running && st.mailbox.receive(msg)) {
-    struct SliceGuard {
-      Engine* engine;
-      std::size_t id;
-      bool armed;
-      ~SliceGuard() {
-        if (armed) engine->end_batch_meter(id);
-      }
-    } slice{this, id, begin_batch_meter(id)};
-    // Stage outputs for the burst.  Declared after `slice` so the flush
-    // (destructor order) lands inside the busy slice, and runs before the
-    // next blocking receive so staged results never outwait an idle
-    // mailbox.  Covers the mid-burst `return` on fence retirement too.
-    struct StageGuard {
-      Engine* engine;
-      std::size_t id;
-      ~StageGuard() { engine->flush_output_batch(id); }
-    } stage{this, id};
-    begin_output_batch(id);
-    for (int n = 0;;) {
-      if (msg.kind == Message::Kind::kShutdown) {
-        if (++shutdowns >= st.spec.incoming_channels) {
-          running = false;
-          break;
+  Mailbox& box = st.mailbox;
+  // One drain hands the whole batch over, but each message's capacity slot
+  // is released only as it enters service — freeing the whole batch up
+  // front would give senders capacity B + batch and visibly weaken the BAS
+  // backpressure the cost models assume.  Tokens and data stay in FIFO
+  // order inside the batch.
+  thread_local std::vector<Message> batch;
+  batch.clear();
+  trace::Span span("batch", "actor");
+  const std::size_t taken = box.drain(batch, max_messages, /*release_now=*/false);
+  span.set_arg("n", static_cast<std::int64_t>(taken));
+  if (taken == 0) {
+    // Closed and drained (only a failure closes a mailbox): finish, or a
+    // driver waiting for mail would wake on the closed box forever.
+    return box.closed() ? finish(id, 0) : StepResult{StepStatus::kWaitForMail, 0};
+  }
+  StepStatus status = StepStatus::kWaitForMail;
+  std::optional<std::string> failure;
+  {
+    // The slice closes after the stage flushed (destruction order), so
+    // dispatch time lands in the busy slice.  Both close before any
+    // epilogue: the finish/fence tokens may not overtake staged data.
+    const bool metered = begin_batch_meter(id);
+    OnExit close_meter([this, metered] {
+      if (metered) end_batch_meter();
+    });
+    begin_output_batch();
+    OnExit flush([this] { flush_output_batch(); });
+    std::size_t released = 0;
+    try {
+      for (Message& msg : batch) {
+        box.release(1);
+        ++released;
+        if (msg.kind == Message::Kind::kShutdown) {
+          // FIFO per channel puts each upstream's token after its data, so
+          // once all tokens arrived no data can be pending behind them.
+          if (++st.shutdowns_seen >= st.spec.incoming_channels) {
+            status = StepStatus::kFinished;
+            break;
+          }
+          continue;
         }
-      } else {
         process_message(id, msg);
-        // Retired at a fence: exit WITHOUT the finish epilogue — logic
-        // state and mailbox carry into the next epoch.
-        if (st.retired.load(std::memory_order_relaxed)) return;
+        if (st.retired.load(std::memory_order_relaxed)) {
+          // The message was the actor's final fence token: it forwarded the
+          // fence and retired; nothing of this epoch is pending behind it.
+          status = StepStatus::kRetired;
+          break;
+        }
       }
-      if (++n >= kLoopBurst || !st.mailbox.try_receive(msg)) break;
+    } catch (const std::exception& e) {
+      failure = e.what();
     }
+    if (taken > released) box.release(taken - released);
   }
-  finish_actor(id);
+  if (failure) {
+    report_failure(id, *failure);
+    return {StepStatus::kFinished, taken};
+  }
+  if (status == StepStatus::kFinished) return finish(id, taken);
+  if (status == StepStatus::kRetired) return {StepStatus::kRetired, taken};
+  return {box.size() > 0 ? StepStatus::kRunAgain : StepStatus::kWaitForMail, taken};
 }
 
-void Engine::source_loop(std::size_t id) {
-  ActorState& st = actor(id);
-  const OpIndex op = st.spec.op;
-  RouteCollector out(*this, op, st.rng);
-  // Context pinned for the whole loop: generation time is busy, the
-  // downstream emit charges blocked when backpressured (the gate is
-  // re-checked per charge, so this is free while metering is off).
-  ScopedActorContext ctx(telemetry_, op);
-  Tuple tuple;
-  while (true) {
-    if (stop_.load(std::memory_order_relaxed)) {
-      // A stop raised between a fence and its resume (e.g. a snapshot
-      // write failure aborting the run) leaves already-generated items in
-      // the fence buffer; deliver them before finishing — a bad disk must
-      // never lose an in-flight tuple.
-      std::unique_lock lock(fence_mutex_);
-      if (fence_buffer_.empty()) break;
-      tuple = fence_buffer_.front();
-      fence_buffer_.pop_front();
-      lock.unlock();
-      board_.add_processed(op);
-      out.emit(tuple);
-      continue;
-    }
-    if (fence_active_.load(std::memory_order_acquire)) {
-      source_fence(id);
-      if (st.retired.load(std::memory_order_relaxed)) return;
-      continue;
-    }
-    if (telemetry_.enabled()) {
-      // Batch-granularity metering, as in pump_source: a bounded run of
-      // items is ONE busy slice (generation + emit dispatch, blocked-on-
-      // send subtracted through the nested context) — two clock reads per
-      // slice instead of two per item.  Stop and fence flags are
-      // re-checked per item, so slices never delay a fence.
-      ScopedActorContext slice(telemetry_, op);
-      const Clock::time_point from = metering_now();
-      bool ended = false;
-      begin_output_batch(id);
-      for (int n = 0; n < 64; ++n) {
-        if (stop_.load(std::memory_order_relaxed) ||
-            fence_active_.load(std::memory_order_acquire)) {
-          break;
-        }
-        if (!next_source_item(st, tuple)) {
-          ended = true;
-          break;
-        }
-        board_.add_processed(op);
-        out.emit(tuple);
-        // A paced source holding a half-filled batch would charge every
-        // staged item the pace gaps of its successors — visible directly
-        // in the percentiles.  While latency is being measured, hand each
-        // item over as it is produced; batching a rate-limited source
-        // buys nothing anyway (the win is back-to-back emission).
-        if (board_.latency_enabled()) flush_stage();
-      }
-      flush_output_batch(id);  // inside the slice: dispatch time is busy
-      const auto elapsed = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(metering_now() - from)
-              .count());
-      const std::uint64_t blocked = slice.blocked_ns();
-      telemetry_.add_busy(op, elapsed > blocked ? elapsed - blocked : 0);
-      if (ended) break;
-    } else {
-      // Same bounded burst without the metering: emissions stage into
-      // MessageBatch hand-offs, and the stop/fence flags are re-checked
-      // per item so staging never delays a fence.
-      bool ended = false;
-      begin_output_batch(id);
-      for (int n = 0; n < 64; ++n) {
-        if (stop_.load(std::memory_order_relaxed) ||
-            fence_active_.load(std::memory_order_acquire)) {
-          break;
-        }
-        if (!next_source_item(st, tuple)) {
-          ended = true;
-          break;
-        }
-        board_.add_processed(op);
-        out.emit(tuple);
-        if (board_.latency_enabled()) flush_stage();  // see the metered twin
-      }
-      flush_output_batch(id);
-      if (ended) break;
-    }
+StepResult Engine::finish(std::size_t id, std::size_t drained) {
+  try {
+    finish_actor(id);  // flush logic, propagate shutdown tokens
+  } catch (const std::exception& e) {
+    report_failure(id, e.what());
   }
-  finish_actor(id);
+  return {StepStatus::kFinished, drained};
 }
 
-void Engine::run_actor(std::size_t id) {
-  if (is_source(id)) {
-    source_loop(id);
-  } else {
-    actor_loop(id);
-  }
-}
-
-bool Engine::pump_source(std::size_t id, int quantum) {
+bool Engine::pump_source(std::size_t id) {
   ActorState& st = actor(id);
   const OpIndex op = st.spec.op;
   RouteCollector out(*this, op, st.rng);
@@ -1097,10 +1065,12 @@ bool Engine::pump_source(std::size_t id, int quantum) {
     telemetry_.add_busy(op, elapsed > blocked ? elapsed - blocked : 0);
   };
   Tuple tuple;
-  for (int i = 0; i < quantum; ++i) {
+  for (int i = 0; i < kSourceQuantum; ++i) {
     if (stop_.load(std::memory_order_relaxed)) {
-      // Same contract as source_loop: a stop must not strand items the
-      // source already generated into the fence buffer.
+      // A stop raised between a fence and its resume (e.g. a snapshot
+      // write failure aborting the run) leaves already-generated items in
+      // the fence buffer; deliver them before finishing — a bad disk must
+      // never lose an in-flight tuple.
       while (true) {
         std::unique_lock lock(fence_mutex_);
         if (fence_buffer_.empty()) break;
@@ -1116,7 +1086,7 @@ bool Engine::pump_source(std::size_t id, int quantum) {
     if (fence_active_.load(std::memory_order_acquire)) {
       record();
       source_fence(id);
-      return true;  // retired: the scheduler completes us without epilogue
+      return true;  // retired: the step completes us without epilogue
     }
     if (!next_source_item(st, tuple)) {
       record();
@@ -1124,9 +1094,11 @@ bool Engine::pump_source(std::size_t id, int quantum) {
     }
     board_.add_processed(op);
     out.emit(tuple);
-    // Paced sources hand items over as produced while latency percentiles
-    // are live — a half-filled staged batch would charge every staged item
-    // its successors' pace gaps (see source_loop).
+    // A paced source holding a half-filled batch would charge every staged
+    // item the pace gaps of its successors — visible directly in the
+    // percentiles.  While latency is being measured, hand each item over
+    // as it is produced; batching a rate-limited source buys nothing
+    // anyway (the win is back-to-back emission).
     if (board_.latency_enabled()) flush_stage();
   }
   record();
@@ -1356,6 +1328,7 @@ bool Engine::checkpoint_now() {
     // fence latches reset; the sources replay the fence buffer first.
     for (const auto& st : epoch_->actors) {
       st->mailbox.set_on_ready(nullptr);  // the new scheduler re-hooks
+      st->shutdowns_seen = 0;
       st->fence_seen = 0;
       st->fence_counted = false;
       st->retired.store(false, std::memory_order_relaxed);
@@ -1710,7 +1683,7 @@ void Engine::stop_run() {
 
 void Engine::request_stop() {
   // Raising stop before the run starts is legal: the run then drains
-  // immediately (sources see stop_requested on their first pump).  That
+  // immediately (sources see the stop flag on their first step).  That
   // closes the race between a hot retire and the tenant's runner thread
   // still being inside start_execution().
   stop_run();

@@ -267,20 +267,45 @@ class Engine final : public EngineCore {
   // --- EngineCore: the surface the scheduler drives
   std::size_t num_actors() const override { return epoch_->actors.size(); }
   bool is_source(std::size_t id) const override;
-  int incoming_channels(std::size_t id) const override;
   Mailbox& mailbox(std::size_t id) override;
-  void run_actor(std::size_t id) override;
-  bool pump_source(std::size_t id, int quantum) override;
-  void process_message(std::size_t id, Message& m) override;
-  void begin_output_batch(std::size_t id) override;
-  void flush_output_batch(std::size_t id) override;
-  bool begin_batch_meter(std::size_t id) override;
-  void end_batch_meter(std::size_t id) override;
-  void finish_actor(std::size_t id) override;
-  void report_failure(std::size_t id, const std::string& what) override;
-  bool actor_retired(std::size_t id) const override;
+  StepResult step(std::size_t id, std::size_t max_messages) override;
   void actor_done(std::size_t id) override;
-  bool stop_requested() const override { return stop_.load(std::memory_order_relaxed); }
+
+  // --- the pieces of one step
+  /// Source step: emits one quantum; finishes at end-of-stream or stop
+  /// (delivering what the fence buffer still holds), retires at a fence.
+  StepResult source_step(std::size_t id);
+  /// Non-source step: drains at most `max_messages` without blocking and
+  /// dispatches them inside one output stage and one metering slice.
+  StepResult drain_step(std::size_t id, std::size_t max_messages);
+  /// Emits up to one quantum of source items; returns false when the
+  /// source ended or the run was stopped (the finish epilogue is due).
+  bool pump_source(std::size_t id);
+  /// Dispatches one data/seq-mark/fence message to the actor's logic.
+  void process_message(std::size_t id, Message& m);
+  /// Output staging around one step: consecutive same-destination
+  /// emissions of the step coalesce into a cache-aligned MessageBatch
+  /// handed to the destination mailbox as one unit (try_send_batch).  The
+  /// flush runs before the step returns, so staged data never waits out
+  /// an idle mailbox and never lets a token sent afterwards overtake it.
+  void begin_output_batch();
+  void flush_output_batch();
+  /// Batch-granularity utilization metering: the whole step is timed as
+  /// ONE busy slice (two clock reads per step instead of two per message)
+  /// and the per-message metering inside process_message() is suppressed.
+  /// begin returns false — and end must then be skipped — when nothing
+  /// was opened (metering off, or the actor's busy time is charged per
+  /// logical member as for fused meta groups).
+  bool begin_batch_meter(std::size_t id);
+  void end_batch_meter();
+  /// Runs the finish epilogue (reporting a failure it throws) and returns
+  /// the step's kFinished result.
+  StepResult finish(std::size_t id, std::size_t drained);
+  /// Flushes logic state and propagates end-of-stream tokens downstream.
+  void finish_actor(std::size_t id);
+  /// Records the first failure, stops the run and unblocks neighbours so
+  /// the drain completes; the engine rethrows after the run.
+  void report_failure(std::size_t id, const std::string& what);
 
   /// Instantiates `deployment` as a new epoch.  `prev` (when non-null) is
   /// the quiesced previous epoch: actors of operators unchanged per `diff`
@@ -303,8 +328,6 @@ class Engine final : public EngineCore {
   /// Stops the controller (an in-flight switch-over completes first), then
   /// raises the stop flag under the epoch lock so no new switch-over starts.
   void stop_run();
-  void actor_loop(std::size_t id);
-  void source_loop(std::size_t id);
   /// Next item for the source actor: replays the fence buffer of the
   /// previous epoch first, then pulls from the SourceLogic.
   bool next_source_item(ActorState& st, Tuple& tuple);

@@ -17,7 +17,7 @@ std::size_t next_pow2(std::size_t v) {
   return p;
 }
 
-/// Parked receive()rs re-poll at this period so a publish racing the very
+/// Parked consumers re-poll at this period so a publish racing the very
 /// first park can never strand a message behind a missed notify: the ring
 /// fast path deliberately avoids a full fence between "publish" and "is a
 /// consumer waiting?", and this bounds the cost of losing that race.
@@ -399,38 +399,37 @@ void Mailbox::release_slots(std::size_t n) {
 }
 
 bool Mailbox::receive(Message& out) {
+  while (!try_receive(out)) {
+    if (!wait_ready()) return false;
+  }
+  return true;
+}
+
+bool Mailbox::wait_ready() {
   if (kind_ == MailboxKind::kRing) {
-    for (;;) {
-      if (ring_consume(out)) {
-        release_slots(1);
-        return true;
-      }
-      std::unique_lock lock(mutex_);
-      if (ring_ready() || spilled_.load(std::memory_order_relaxed)) continue;
+    const auto ready = [&] {
+      return ring_ready() || spilled_.load(std::memory_order_acquire);
+    };
+    if (ready()) return true;
+    std::unique_lock lock(mutex_);
+    while (!ready()) {
       if (closed_.load(std::memory_order_relaxed)) return false;
       waiting_consumers_.fetch_add(1, std::memory_order_acq_rel);
       // Bounded waits, not one indefinite one: combined with kConsumerRepoll
       // this makes a publish that raced the registration self-healing.
       not_empty_.wait_for(lock, kConsumerRepoll, [&] {
-        return closed_.load(std::memory_order_relaxed) || ring_ready() ||
-               spilled_.load(std::memory_order_relaxed);
+        return closed_.load(std::memory_order_relaxed) || ready();
       });
       waiting_consumers_.fetch_sub(1, std::memory_order_acq_rel);
     }
+    return true;
   }
-  if (consume(out)) return true;
-  {
-    std::unique_lock lock(mutex_);
-    not_empty_.wait(lock, [&] {
-      return closed_.load(std::memory_order_relaxed) || !inbox_.empty();
-    });
-    if (inbox_.empty()) return false;  // closed and drained
-    outbox_.swap(inbox_);
-  }
-  out = outbox_.front();
-  outbox_.pop_front();
-  release_slots(1);
-  return true;
+  if (!outbox_.empty()) return true;
+  std::unique_lock lock(mutex_);
+  not_empty_.wait(lock, [&] {
+    return closed_.load(std::memory_order_relaxed) || !inbox_.empty();
+  });
+  return !inbox_.empty();
 }
 
 bool Mailbox::try_receive(Message& out) {

@@ -110,6 +110,11 @@ class Mailbox {
   /// mailbox is closed *and* drained.
   bool receive(Message& out);
 
+  /// Consumer side: blocks until a message is ready to dequeue or the
+  /// mailbox is closed, without taking anything.  Returns false once the
+  /// mailbox is closed *and* drained.
+  bool wait_ready();
+
   /// Non-blocking variant; returns false when empty right now.
   bool try_receive(Message& out);
 
@@ -129,7 +134,8 @@ class Mailbox {
   /// actually waiting.
   void release(std::size_t n) { release_slots(n); }
 
-  /// Wakes all waiters; send() starts failing, receive() drains then stops.
+  /// Wakes all waiters; send() starts failing, receive() and wait_ready()
+  /// drain then stop.
   void close();
 
   /// Installs a readiness hook fired (outside the lock) whenever an enqueue
@@ -229,7 +235,7 @@ class Mailbox {
   bool ring_consume(Message& out);
   /// Consumer-side peek (only the consumer advances dequeue_pos_).
   [[nodiscard]] bool ring_ready() const;
-  /// Post-publish notifications: wake a parked receive()r and fire the
+  /// Post-publish notifications: wake a parked consumer and fire the
   /// on_ready hook when this publish was the empty→non-empty edge.
   void after_publish(bool edge);
   bool send_ring(const Message& m, std::chrono::nanoseconds timeout);
@@ -278,7 +284,7 @@ class Mailbox {
   /// notifying not_full_ only when this is non-zero, keeping the consume
   /// fast path lock-free.
   std::atomic<int> waiting_senders_{0};
-  /// Consumers parked in receive(); ring producers take the lock before
+  /// Consumers parked in wait_ready(); ring producers take the lock before
   /// notifying not_empty_ only when this is non-zero, keeping the publish
   /// fast path lock-free.
   std::atomic<int> waiting_consumers_{0};

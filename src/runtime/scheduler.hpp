@@ -1,30 +1,34 @@
 // Execution scheduling behind the actor engine.
 //
 // The engine (engine.hpp) is the *actor core*: it owns the actor graph,
-// message dispatch, routing, metering and the drain protocol.  How actors
-// get CPU time is delegated to a Scheduler:
+// message dispatch, routing, metering and the drain protocol.  All of an
+// actor's work happens in one engine-owned step (EngineCore::step): a
+// source quantum, or a bounded non-blocking drain of the actor's mailbox
+// with output staging, batch metering, shutdown/fence token counting, the
+// finish epilogue and failure reporting.  A Scheduler only decides *when*
+// and on which thread each actor steps:
 //
-//   * ThreadPerActorScheduler — one dedicated thread per actor, blocking
-//     mailbox receive.  This is the configuration the paper evaluates
-//     (§5.1, one Akka actor per operator) and the default; its semantics
-//     are byte-for-byte those of the original monolithic engine.
+//   * ThreadPerActorScheduler — one dedicated thread per actor that steps
+//     its actor and blocks on the mailbox whenever the step asks for mail.
+//     This is the configuration the paper evaluates (§5.1, one Akka actor
+//     per operator) and the default.
 //   * PooledScheduler — multiplexes N actors onto K worker threads with
-//     work stealing.  Workers never park on a per-mailbox condition
-//     variable: each mailbox routes its empty→non-empty readiness hint
-//     (Mailbox::set_on_ready) to the per-worker deque of the worker that
-//     last ran the actor (warm cache); owners pop LIFO, idle workers steal
-//     FIFO, and ready actors are drained in bounded batches — one mailbox
-//     lock acquisition per batch (Mailbox::drain) — through the
-//     non-blocking try_send() send path.
+//     work stealing: one step per actor claim.  Workers never park on a
+//     per-mailbox condition variable: each mailbox routes its
+//     empty→non-empty readiness hint (Mailbox::set_on_ready) to the
+//     per-worker deque of the worker that last ran the actor (warm cache);
+//     owners pop LIFO, idle workers steal FIFO, and sends take the
+//     non-blocking try_send() path first.
 //     Operator logic that parks its thread (timed-wait services, blocking
 //     sends under backpressure) wraps the park in a BlockingSection so the
 //     pool can lend the core to another worker meanwhile — K bounds the
 //     number of *runnable* workers, not the number of sleepers, which is
 //     what keeps wait-realized service times (clock.hpp) rate-faithful.
 //
-// Schedulers drive the engine through the narrow EngineCore interface so
-// new policies (work stealing, NUMA-pinned pools) can be added without
-// touching the actor core.
+// Both drivers run the same step, so they share every semantic the step
+// owns: FIFO per channel, BAS capacity of exactly B (a drained message
+// frees its slot only as it enters service), token counting and the
+// fence/finish epilogues.
 #pragma once
 
 #include <chrono>
@@ -64,71 +68,44 @@ enum class PinMode : std::uint8_t {
 PinMode pin_mode_from_string(const std::string& name);
 const char* to_string(PinMode mode);
 
-/// What a Scheduler needs from the engine: actor-graph shape, the blocking
-/// per-actor loop (thread-per-actor mode) and the step-wise execution
-/// pieces (pooled mode).  Implemented by Engine.
+/// What one EngineCore::step asks of its driver next.
+enum class StepStatus : std::uint8_t {
+  kRunAgain,     ///< more work is ready now (source quantum, queued mail)
+  kWaitForMail,  ///< the mailbox is empty: step again once mail arrives
+  kFinished,     ///< ran the finish epilogue, or failed: the actor is done
+  kRetired,      ///< passed an epoch fence, state carries over: done
+};
+
+struct StepResult {
+  StepStatus status = StepStatus::kWaitForMail;
+  /// Messages this step took from the mailbox (0 for a source quantum).
+  std::size_t drained = 0;
+
+  [[nodiscard]] bool done() const {
+    return status == StepStatus::kFinished || status == StepStatus::kRetired;
+  }
+};
+
+/// What a Scheduler needs from the engine: the actor-graph shape, the
+/// mailboxes and the one actor step.  Implemented by Engine.
 class EngineCore {
  public:
   virtual ~EngineCore() = default;
 
   virtual std::size_t num_actors() const = 0;
   virtual bool is_source(std::size_t id) const = 0;
-  /// Shutdown tokens expected before the actor may finish.
-  virtual int incoming_channels(std::size_t id) const = 0;
   virtual Mailbox& mailbox(std::size_t id) = 0;
 
-  /// Runs one actor to completion: blocking receive loop (or source loop)
-  /// plus the finish/drain epilogue.  Thread-per-actor mode only.
-  virtual void run_actor(std::size_t id) = 0;
+  /// Runs actor `id` once: a source emits one quantum; any other actor
+  /// drains at most `max_messages` messages without blocking and
+  /// dispatches them.  Failures are reported inside (the run stops and the
+  /// engine rethrows after it).  The caller guarantees that one thread at
+  /// a time steps a given actor.
+  virtual StepResult step(std::size_t id, std::size_t max_messages) = 0;
 
-  /// Emits up to `quantum` source items; returns false when the source
-  /// ended (or the run was stopped) and the finish epilogue is due.
-  virtual bool pump_source(std::size_t id, int quantum) = 0;
-
-  /// Dispatches one already-dequeued data/seq-mark message to the actor's
-  /// logic.  The caller guarantees single-threaded access per actor.
-  virtual void process_message(std::size_t id, Message& m) = 0;
-
-  /// Output staging: a scheduler that hands an actor a whole batch
-  /// brackets it with this pair so the engine may coalesce consecutive
-  /// same-destination emissions into a cache-aligned MessageBatch and hand
-  /// them to the destination mailbox as one unit (Mailbox::try_send_batch).
-  /// flush is mandatory on every exit path *before* the actor is marked
-  /// complete — staged messages must reach their mailboxes while the slice
-  /// is still live, or tokens sent by the finish/fence epilogues would
-  /// overtake data.  Default: no staging (per-message delivery).
-  virtual void begin_output_batch(std::size_t /*id*/) {}
-  virtual void flush_output_batch(std::size_t /*id*/) {}
-
-  /// Batch-granularity utilization metering: a scheduler that hands an
-  /// actor a whole batch of messages brackets the batch with this pair so
-  /// the engine times the batch as ONE busy slice (two clock reads per
-  /// batch instead of two per message) and suppresses the per-message
-  /// metering inside process_message().  begin returns false — and the
-  /// scheduler must then skip the end call — when nothing was opened
-  /// (metering off, or the actor's busy time is charged per logical
-  /// member as for fused meta groups).  Default: per-message metering.
-  virtual bool begin_batch_meter(std::size_t /*id*/) { return false; }
-  virtual void end_batch_meter(std::size_t /*id*/) {}
-
-  /// Flushes logic state and propagates end-of-stream tokens downstream.
-  virtual void finish_actor(std::size_t id) = 0;
-
-  /// Records the first failure, stops the run and unblocks neighbours so
-  /// the drain completes; the engine rethrows after the run.
-  virtual void report_failure(std::size_t id, const std::string& what) = 0;
-
-  /// True when `id` passed an epoch fence and retired: the scheduler must
-  /// complete the actor WITHOUT the finish epilogue (no logic flush, no
-  /// shutdown tokens) — its state stays alive for migration into the next
-  /// epoch.  Checked after process_message()/pump_source() returns.
-  virtual bool actor_retired(std::size_t id) const = 0;
-
-  /// Actor `id` fully finished or retired; the engine's active-actor
-  /// accounting and completion signalling live here.
+  /// Actor `id` finished or retired (a step returned done()); the engine's
+  /// active-actor accounting and completion signalling live here.
   virtual void actor_done(std::size_t id) = 0;
-
-  virtual bool stop_requested() const = 0;
 };
 
 /// Execution policy: owns the threads that run the actors.

@@ -113,7 +113,7 @@ class SchedulerHost {
   void worker_loop(std::size_t self);
   bool run_one(std::size_t self);
   void run_actor_slot(const TenantId& t, std::size_t self, std::size_t id);
-  void complete(Tenant& t, std::size_t id, bool run_finish);
+  void complete(Tenant& t, std::size_t id);
   void enqueue(const TenantId& t, std::size_t id);
   void wake_or_spawn();
 

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -12,27 +13,15 @@
 #include <utility>
 
 #include "core/error.hpp"
+#include "runtime/json.hpp"
 
 namespace ss::runtime {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
-  return out;
-}
+/// Receive and send deadline of one client connection: bounds how long a
+/// stalled client can keep the serial accept loop (and stop()) waiting.
+constexpr timeval kClientDeadline{1, 0};
 
 /// Prometheus label values escape backslash, quote and newline.
 std::string prom_escape(const std::string& s) {
@@ -104,6 +93,12 @@ void StatsServer::loop() {
     if (ready <= 0) continue;
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
+    // Requests are served inline on this thread, so a client that connects
+    // and then stalls (sends nothing, or never reads) would otherwise hold
+    // the loop — and stop() — for as long as it likes.
+    const timeval deadline = kClientDeadline;
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof(deadline));
+    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &deadline, sizeof(deadline));
     serve(client);
     ::close(client);
   }
@@ -153,7 +148,9 @@ void StatsServer::serve(int client_fd) {
   const std::string out = resp.str();
   std::size_t sent = 0;
   while (sent < out.size()) {
-    const auto w = ::send(client_fd, out.data() + sent, out.size() - sent, 0);
+    // MSG_NOSIGNAL: a client that disconnects early must not SIGPIPE the
+    // engine's process.
+    const auto w = ::send(client_fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
     if (w <= 0) break;
     sent += static_cast<std::size_t>(w);
   }

@@ -12,7 +12,9 @@
 // constructs it before starting the scheduler, so a bad --stats-port
 // fails the run up front instead of half-way through.  One accept loop
 // thread serves requests serially (observability endpoint, not a web
-// server); each response closes the connection.
+// server); each response closes the connection.  Every connection gets a
+// 1 s receive and send deadline, so an idle or stalled client delays the
+// loop — and shutdown — by at most that much.
 #pragma once
 
 #include <atomic>

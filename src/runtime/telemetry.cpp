@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/error.hpp"
+#include "runtime/json.hpp"
 
 namespace ss::runtime {
 
@@ -64,24 +65,6 @@ void charge_blocked(std::uint64_t ns, OpIndex dest_op) {
 // ---------------------------------------------------------------- exporter
 
 namespace {
-
-/// Escapes operator names for JSON (the only user-controlled strings).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
-  return out;
-}
 
 std::uint64_t delta(const std::vector<std::uint64_t>& now,
                     const std::vector<std::uint64_t>& prev, std::size_t i) {

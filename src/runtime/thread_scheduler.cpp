@@ -1,8 +1,9 @@
 // ThreadPerActorScheduler: one dedicated thread per actor, the §5.1
 // configuration the paper evaluates and the engine's default.  Each thread
-// runs the actor's blocking loop; a full destination mailbox blocks the
-// sending thread (Blocking-After-Service), which *is* the backpressure the
-// cost models capture.
+// steps its actor and blocks on the mailbox while the step asks for mail;
+// a full destination mailbox blocks the sending thread
+// (Blocking-After-Service), which *is* the backpressure the cost models
+// capture.
 #include <thread>
 #include <vector>
 
@@ -13,23 +14,19 @@ namespace ss::runtime {
 
 namespace {
 
+/// Messages per step: a step is timed as ONE busy slice when metering is
+/// on (two clock reads per burst), and its outputs stage into batched
+/// hand-offs.  The blocking wait stays outside the step, so idle time
+/// never counts as busy.
+constexpr std::size_t kLoopBurst = 64;
+
 class ThreadPerActorScheduler final : public Scheduler {
  public:
   void start(EngineCore& core) override {
     core_ = &core;
     threads_.reserve(core.num_actors());
     for (std::size_t id = 0; id < core.num_actors(); ++id) {
-      threads_.emplace_back([this, id] {
-        try {
-          core_->run_actor(id);
-        } catch (const std::exception& e) {
-          // No exception may cross a thread boundary: record the failure,
-          // stop the run and unblock neighbours so the drain completes;
-          // run_for()/run_until_complete() rethrow after join.
-          core_->report_failure(id, e.what());
-        }
-        core_->actor_done(id);
-      });
+      threads_.emplace_back([this, id] { drive(id); });
     }
   }
 
@@ -46,6 +43,16 @@ class ThreadPerActorScheduler final : public Scheduler {
   }
 
  private:
+  void drive(std::size_t id) {
+    for (;;) {
+      const StepResult r = core_->step(id, kLoopBurst);
+      if (r.done()) break;
+      // A closed mailbox also ends the wait; the next step then finishes.
+      if (r.status == StepStatus::kWaitForMail) core_->mailbox(id).wait_ready();
+    }
+    core_->actor_done(id);
+  }
+
   EngineCore* core_ = nullptr;
   std::vector<std::thread> threads_;
 };

@@ -11,6 +11,8 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -568,8 +570,8 @@ int free_loopback_port() {
   return port;
 }
 
-/// Minimal HTTP/1.0 GET against 127.0.0.1:`port`; whole response or "".
-std::string loopback_get(int port, const std::string& path) {
+/// Connects to 127.0.0.1:`port`; the socket, or -1.
+int connect_loopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -577,8 +579,15 @@ std::string loopback_get(int port, const std::string& path) {
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return {};
+    return -1;
   }
+  return fd;
+}
+
+/// Minimal HTTP/1.0 GET against 127.0.0.1:`port`; whole response or "".
+std::string loopback_get(int port, const std::string& path) {
+  const int fd = connect_loopback(port);
+  if (fd < 0) return {};
   const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
   (void)!::send(fd, req.data(), req.size(), 0);
   std::string response;
@@ -686,6 +695,64 @@ TEST_F(CliTest, StatsPortServesJsonAndPrometheusDuringTheRun) {
 
   // After the run the socket is closed: the endpoint must not outlive it.
   EXPECT_TRUE(loopback_get(port, "/stats.json").empty());
+}
+
+/// Runs a 1 s `run --stats-port` on the topology at `xml` while a client
+/// opened by `open_client` (given the port once the endpoint answers)
+/// stays connected.  The client is closed when the run returns, or after
+/// 20 s, so a run it holds open fails the caller's bound instead of hanging
+/// the test.  Returns {exit code, wall seconds of the run}.
+std::pair<int, double> run_with_stalled_stats_client(
+    const std::string& xml, const std::function<int(int)>& open_client) {
+  const int port = free_loopback_port();
+  std::promise<std::pair<int, double>> done;
+  std::future<std::pair<int, double>> result = done.get_future();
+  std::thread runner([&] {
+    const std::string port_flag = "--stats-port=" + std::to_string(port);
+    const char* argv[] = {"spinstreams", "run", xml.c_str(), "--seconds=1",
+                          port_flag.c_str()};
+    std::ostringstream out;
+    std::ostringstream err;
+    const auto start = std::chrono::steady_clock::now();
+    const int code = run_cli(5, argv, out, err);
+    done.set_value(
+        {code, std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+                   .count()});
+  });
+  for (int i = 0; i < 40 && loopback_get(port, "/stats.json").empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  const int fd = open_client(port);
+  result.wait_for(std::chrono::seconds(20));
+  if (fd >= 0) ::close(fd);
+  runner.join();
+  return result.get();
+}
+
+/// Wall-time bound of a 1 s run with a stalled stats client: the run, one
+/// 1 s client deadline and slack for a loaded host.
+constexpr double kStalledClientBoundSeconds = 6.0;
+
+TEST_F(CliTest, IdleStatsClientCannotHoldTheRunOpen) {
+  // Connects and sends nothing: the server's receive deadline must end the
+  // connection so the accept loop — and shutdown — is not held hostage.
+  const auto [code, seconds] = run_with_stalled_stats_client(path_, connect_loopback);
+  EXPECT_EQ(code, 0);
+  EXPECT_LT(seconds, kStalledClientBoundSeconds);
+}
+
+TEST_F(CliTest, HalfClosedStatsClientCannotHoldTheRunOpen) {
+  // Sends half a request head, shuts its sending side and never reads.
+  const auto [code, seconds] = run_with_stalled_stats_client(path_, [](int port) {
+    const int fd = connect_loopback(port);
+    if (fd < 0) return fd;
+    const std::string partial = "GET /stats.json HTTP/1.0\r\n";
+    (void)!::send(fd, partial.data(), partial.size(), MSG_NOSIGNAL);
+    ::shutdown(fd, SHUT_WR);
+    return fd;
+  });
+  EXPECT_EQ(code, 0);
+  EXPECT_LT(seconds, kStalledClientBoundSeconds);
 }
 
 TEST_F(CliTest, MultiTenantRunRejectsStatsPort) {

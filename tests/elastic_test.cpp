@@ -165,8 +165,10 @@ TEST(Elastic, SloBreachRedeploysAndLandsUnderTheSlo) {
   const RunStats stats = engine.run_for(duration<double>(4.0));
 
   ASSERT_NE(engine.controller(), nullptr);
+  // decisions() returns a copy: keep it alive while pointing into it.
+  const std::vector<ReconfigDecision> decisions = engine.controller()->decisions();
   const ReconfigDecision* slo_redeploy = nullptr;
-  for (const ReconfigDecision& d : engine.controller()->decisions()) {
+  for (const ReconfigDecision& d : decisions) {
     if (d.redeployed && d.slo_breached) {
       slo_redeploy = &d;
       break;
@@ -210,8 +212,10 @@ TEST(Elastic, RedeployDecisionsUseProfilerEstimates) {
   const RunStats stats = engine.run_for(duration<double>(3.5));
 
   ASSERT_NE(engine.controller(), nullptr);
+  // decisions() returns a copy: keep it alive while pointing into it.
+  const std::vector<ReconfigDecision> decisions = engine.controller()->decisions();
   const ReconfigDecision* redeploy = nullptr;
-  for (const ReconfigDecision& d : engine.controller()->decisions()) {
+  for (const ReconfigDecision& d : decisions) {
     if (d.redeployed) {
       redeploy = &d;
       break;

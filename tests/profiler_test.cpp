@@ -21,7 +21,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -375,6 +377,37 @@ TEST(StatsServer, RejectsInvalidAndTakenPorts) {
   const int port = free_port();
   StatsServer first(port, sample_fixture, {});
   EXPECT_THROW(StatsServer(port, sample_fixture, {}), Error);
+}
+
+TEST(StatsServer, ControlCharactersInOperatorNamesAreEscapedInEveryJsonOutput) {
+  // Operator names come from the XML; a control character must reach both
+  // the metrics JSONL and /stats.json as a \u escape, not raw or dropped.
+  const std::vector<std::string> names = {"source", "wor\x01ker"};
+  const auto valid_with_escaped_name = [](std::string json) {
+    json.erase(json.find_last_not_of('\n') + 1);  // the line terminator
+    EXPECT_NE(json.find("\"name\":\"wor\\u0001ker\""), std::string::npos) << json;
+    EXPECT_TRUE(std::none_of(json.begin(), json.end(), [](char c) {
+      return static_cast<unsigned char>(c) < 0x20;
+    })) << "raw control character in " << json;
+    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
+              std::count(json.begin(), json.end(), '}'));
+  };
+
+  StatsServer server(free_port(), sample_fixture, names);
+  valid_with_escaped_name(server.render_json(sample_fixture()));
+
+  const std::string path = "profiler_test_escaped_names.jsonl";
+  {
+    MetricsExporter exporter(sample_fixture, names, path, 10.0);
+    exporter.start();
+    exporter.stop();  // writes the final sample
+  }
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(static_cast<bool>(std::getline(in, line)));
+  in.close();
+  std::remove(path.c_str());
+  valid_with_escaped_name(line);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-// Tests of the pooled scheduler: semantic equivalence with the
-// thread-per-actor backend (exact accounting, fission/fusion, ordering,
-// failure propagation), deadlock-free drains of Algorithm-5 random
-// topologies on few workers, and throughput parity on the Fig. 11 / Table 1
-// topology.  The Stress.* case doubles as the TSAN target.
+// Tests of the two schedulers that drive the one actor step: the same
+// semantic cases under both drivers (exact accounting, fission/fusion,
+// ordering, failure propagation), deadlock-free pooled drains of
+// Algorithm-5 random topologies on few workers, and pool/thread throughput
+// parity on the Fig. 11 / Table 1 topology.  The Stress.* case doubles as
+// the TSAN target.
 #include "runtime/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -139,10 +140,28 @@ TEST(SchedulerKindParsing, RoundTrips) {
   EXPECT_THROW(scheduler_kind_from_string("fibers"), ss::Error);
 }
 
-TEST(PooledScheduler, FiniteStreamFlowsExactly) {
+/// Cases that run under both drivers: both step actors through the same
+/// EngineCore::step, so each must show the same semantics.
+class SchedulerBothDrivers : public ::testing::TestWithParam<SchedulerKind> {
+ protected:
+  [[nodiscard]] EngineConfig config() const {
+    EngineConfig cfg = pooled_config(2);
+    cfg.scheduler = GetParam();
+    return cfg;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Drivers, SchedulerBothDrivers,
+                         ::testing::Values(SchedulerKind::kPooled,
+                                           SchedulerKind::kThreadPerActor),
+                         [](const ::testing::TestParamInfo<SchedulerKind>& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+TEST_P(SchedulerBothDrivers, FiniteStreamFlowsExactly) {
   Topology t = pipeline({"src", "a", "b", "sink"});
   static constexpr std::int64_t kItems = 2000;
-  Engine engine(t, Deployment{}, burst_factory(kItems), pooled_config(2));
+  Engine engine(t, Deployment{}, burst_factory(kItems), config());
   RunStats stats = engine.run_until_complete(duration<double>(30.0));
   EXPECT_EQ(stats.dropped, 0u);
   for (OpIndex i = 0; i < t.num_operators(); ++i) {
@@ -182,13 +201,13 @@ TEST(PooledScheduler, TwentyOperatorRandomTopologyDrainsOnTwoWorkers) {
   }
 }
 
-TEST(PooledScheduler, FissionProcessesEverythingOnce) {
+TEST_P(SchedulerBothDrivers, FissionProcessesEverythingOnce) {
   Topology t = pipeline({"src", "work", "sink"});
   static constexpr std::int64_t kItems = 5000;
   std::atomic<std::int64_t> seen{0};
   Deployment d;
   d.replication.replicas = {1, 4, 1};
-  Engine engine(t, d, burst_factory(kItems, &seen), pooled_config(2));
+  Engine engine(t, d, burst_factory(kItems, &seen), config());
   RunStats stats = engine.run_until_complete(duration<double>(30.0));
   EXPECT_EQ(seen.load(), 2 * kItems);  // once across work's replicas, once at the sink
   EXPECT_EQ(stats.ops[1].processed, static_cast<std::uint64_t>(kItems));
@@ -196,19 +215,19 @@ TEST(PooledScheduler, FissionProcessesEverythingOnce) {
   EXPECT_EQ(stats.dropped, 0u);
 }
 
-TEST(PooledScheduler, FusionComposesMembersInsideOneActor) {
+TEST_P(SchedulerBothDrivers, FusionComposesMembersInsideOneActor) {
   Topology t = pipeline({"src", "f1", "f2", "sink"});
   static constexpr std::int64_t kItems = 3000;
   Deployment d;
   d.fusions.push_back(FusionSpec{{1, 2}, "fused"});
-  Engine engine(t, d, burst_factory(kItems), pooled_config(2));
+  Engine engine(t, d, burst_factory(kItems), config());
   RunStats stats = engine.run_until_complete(duration<double>(30.0));
   EXPECT_EQ(stats.ops[1].processed, static_cast<std::uint64_t>(kItems));
   EXPECT_EQ(stats.ops[2].processed, static_cast<std::uint64_t>(kItems));
   EXPECT_EQ(stats.ops[3].processed, static_cast<std::uint64_t>(kItems));
 }
 
-TEST(PooledScheduler, PreservesReplicaOrderWhenConfigured) {
+TEST_P(SchedulerBothDrivers, PreservesReplicaOrderWhenConfigured) {
   Topology t = pipeline({"src", "work", "sink"});
   static constexpr std::int64_t kItems = 4000;
   std::vector<std::int64_t> ids;
@@ -223,7 +242,7 @@ TEST(PooledScheduler, PreservesReplicaOrderWhenConfigured) {
   };
   Deployment d;
   d.replication.replicas = {1, 3, 1};
-  EngineConfig cfg = pooled_config(2);
+  EngineConfig cfg = config();
   cfg.preserve_replica_order = true;
   Engine engine(t, d, factory, cfg);
   RunStats stats = engine.run_until_complete(duration<double>(30.0));
@@ -232,7 +251,7 @@ TEST(PooledScheduler, PreservesReplicaOrderWhenConfigured) {
   EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
 }
 
-TEST(PooledScheduler, OperatorFailureAbortsTheRun) {
+TEST_P(SchedulerBothDrivers, OperatorFailureAbortsTheRun) {
   Topology t = pipeline({"src", "boom", "sink"});
   AppFactory factory;
   factory.source = [](OpIndex, const OperatorSpec&) {
@@ -242,7 +261,7 @@ TEST(PooledScheduler, OperatorFailureAbortsTheRun) {
     if (op == 1) return std::make_unique<Throws>();
     return std::make_unique<PassThrough>();
   };
-  Engine engine(t, Deployment{}, factory, pooled_config(2));
+  Engine engine(t, Deployment{}, factory, config());
   EXPECT_THROW((void)engine.run_until_complete(duration<double>(30.0)), ss::Error);
 }
 
